@@ -1,30 +1,34 @@
-"""Hot inner loop for ramp propagation, with two interchangeable backends.
+"""Ramp propagation kernel: fixed-step RK4 as an ordered product of step maps.
 
-The time-ordered propagator of the driven ramp is integrated with
-fixed-step RK4.  Both backends run the same algorithm:
+The ramp obeys the linear equation dU/dt = A(t)U, so one RK4 step is a
+fixed 2x2 matrix M_n built from the generator sampled at the start, the
+midpoint and the end of the step, and the raw RK4 propagator is the
+ordered product M_{N-1} ... M_1 M_0, an associative reduction.  The maps
+are built on component arrays one block of :data:`BLOCK` steps at a
+time, so the working memory of the product stays O(BLOCK) however long
+the ramp.  Each block is reduced by a pairwise (tree) product and folded
+into a running 2x2 product ``raw``.
 
-* a numba ``@njit`` kernel on unrolled complex scalars (default), and
-* a pure-numpy kernel used as a fallback.
-
-Set ``OTTOSPIN_NO_NUMBA=1`` in the environment to force the numpy path;
-it is also selected automatically when numba is unavailable.  Both
-kernels are importable directly for cross-checks and benchmarks
-(``benchmarks/bench_rk4.py`` compares them).
-
-Each kernel advances two propagators in lockstep: the returned one is
-re-unitarized after every step (two Newton-Schulz polar iterations), and
-an untouched shadow copy measures the raw unitarity drift of the
-integrator over the full ramp.
+The raw unitarity drift of the integrator is read off ``raw``, and the
+returned propagator is the Newton-Schulz polar projection of ``raw``,
+the unitary matrix nearest to it.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
+import math
 
 import numpy as np
 
-ENV_FLAG = "OTTOSPIN_NO_NUMBA"
+BACKEND = "numpy"
+
+# Steps per block of step maps.  Peak memory grows with the block (a few
+# complex arrays of BLOCK entries are alive at once); from a few thousand
+# steps on, the per-block Python overhead is small against the arithmetic.
+BLOCK = 4096
+
+_POLAR_TOL = 1e-15
+_POLAR_MAX_ITERATIONS = 100
 
 
 def stage_coefficients(nu_cold: float, nu_hot: float, tau: float, steps: int, direction: str):
@@ -53,169 +57,71 @@ def stage_coefficients(nu_cold: float, nu_hot: float, tau: float, steps: int, di
     return e01, e10, tau / steps
 
 
-def rk4_propagate_numpy(e01: np.ndarray, e10: np.ndarray, dt: float, steps: int):
-    """Pure-numpy RK4 loop; returns (unitary propagator, raw drift)."""
+def _step_maps(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
+    """RK4 step maps M = I + X of n steps from 2n+1 samples e01=a, e10=b.
 
-    def gen_apply(j, x):
-        out = np.empty_like(x)
-        out[0] = e01[j] * x[1]
-        out[1] = e10[j] * x[0]
-        return out
+    Returns X, shape (2, 2, n).  With A_k = [[0, a_k], [b_k, 0]] at the
+    step's start (k=0), midpoint (1) and end (2), A_1^2 = a_1*b_1*I, and
+    the four RK4 stages collapse to X = dt/6 (A_0 + 4A_1 + A_2)
+    + dt^2/6 (A_1A_0 + A_1^2 + A_2A_1) + dt^3/12 (A_1^2A_0 + A_2A_1^2)
+    + dt^4/24 A_2A_1^2A_0.  Keeping the identity out of X keeps the small
+    per-step terms from being rounded against 1.
+    """
+    a0, a1, a2 = a[:-1:2], a[1::2], a[2::2]
+    b0, b1, b2 = b[:-1:2], b[1::2], b[2::2]
+    ab = a1 * b1
+    x = np.empty((2, 2, a1.size), dtype=np.complex128)
+    x[0, 0] = dt * dt / 6.0 * (a1 * b0 + ab + a2 * b1) + dt**4 / 24.0 * ab * a2 * b0
+    x[1, 1] = dt * dt / 6.0 * (b1 * a0 + ab + b2 * a1) + dt**4 / 24.0 * ab * b2 * a0
+    ab *= dt**3 / 12.0
+    x[0, 1] = dt / 6.0 * (a0 + 4.0 * a1 + a2) + ab * (a0 + a2)
+    x[1, 0] = dt / 6.0 * (b0 + 4.0 * b1 + b2) + ab * (b0 + b2)
+    return x
 
-    def rk4_step(j0, x):
-        k1 = gen_apply(j0, x)
-        k2 = gen_apply(j0 + 1, x + (0.5 * dt) * k1)
-        k3 = gen_apply(j0 + 1, x + (0.5 * dt) * k2)
-        k4 = gen_apply(j0 + 2, x + dt * k3)
-        return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    u = np.eye(2, dtype=np.complex128)
+def _ordered_product(x: np.ndarray) -> np.ndarray:
+    """M_{n-1} ... M_1 M_0 of the maps M_k = I + x[:, :, k], by pairwise reduction.
+
+    Adjacent maps combine as (I + L)(I + E) = I + (L + E + LE).
+    """
+    while x.shape[2] > 1:
+        pairs = x.shape[2] // 2
+        early = x[:, :, 0:2 * pairs:2]
+        late = x[:, :, 1:2 * pairs:2]
+        product = late + early + late[:, :1] * early[:1] + late[:, 1:] * early[1:]
+        if x.shape[2] % 2:
+            product = np.concatenate((product, x[:, :, -1:]), axis=2)
+        x = product
+    return np.eye(2) + x[:, :, 0]
+
+
+def _polar(raw: np.ndarray) -> np.ndarray:
+    """Unitary polar factor of a nonsingular 2x2 matrix by Newton-Schulz iteration.
+
+    Scaling to Frobenius norm sqrt(2) leaves the factor unchanged and puts
+    every singular value at or below sqrt(2), inside the iteration's
+    convergence range (0, sqrt(3)), however far a coarse step count has
+    pushed ``raw`` from unitary.
+    """
+    u = raw * (math.sqrt(2.0) / np.linalg.norm(raw))
+    for _ in range(_POLAR_MAX_ITERATIONS):
+        gram = u.conj().T @ u
+        if np.max(np.abs(gram - np.eye(2))) <= _POLAR_TOL:
+            break
+        u = 1.5 * u - 0.5 * (u @ gram)
+    return u
+
+
+def rk4_propagate(e01: np.ndarray, e10: np.ndarray, dt: float, steps: int):
+    """RK4 propagator over ``steps`` steps; returns (unitary propagator, raw drift).
+
+    ``e01``/``e10`` are the generator's off-diagonal entries on the
+    half-step grid (2*steps + 1 samples, as from :func:`stage_coefficients`).
+    """
     raw = np.eye(2, dtype=np.complex128)
-    for n in range(steps):
-        j0 = 2 * n
-        u = rk4_step(j0, u)
-        for _ in range(2):
-            u = 1.5 * u - 0.5 * (u @ (u.conj().T @ u))
-        raw = rk4_step(j0, raw)
+    for start in range(0, steps, BLOCK):
+        stop = min(start + BLOCK, steps)
+        window = slice(2 * start, 2 * stop + 1)
+        raw = _ordered_product(_step_maps(e01[window], e10[window], dt)) @ raw
     drift = float(np.max(np.abs(raw.conj().T @ raw - np.eye(2))))
-    return u, drift
-
-
-def _rk4_propagate_scalar(e01, e10, dt, steps):
-    # Same algorithm as rk4_propagate_numpy, unrolled onto complex
-    # scalars so numba compiles it to straight-line arithmetic.
-    u00 = 1.0 + 0.0j
-    u01 = 0.0 + 0.0j
-    u10 = 0.0 + 0.0j
-    u11 = 1.0 + 0.0j
-    r00 = 1.0 + 0.0j
-    r01 = 0.0 + 0.0j
-    r10 = 0.0 + 0.0j
-    r11 = 1.0 + 0.0j
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for n in range(steps):
-        j0 = 2 * n
-        a0 = e01[j0]
-        b0 = e10[j0]
-        a1 = e01[j0 + 1]
-        b1 = e10[j0 + 1]
-        a2 = e01[j0 + 2]
-        b2 = e10[j0 + 2]
-
-        k1a = a0 * u10
-        k1b = a0 * u11
-        k1c = b0 * u00
-        k1d = b0 * u01
-        x00 = u00 + half * k1a
-        x01 = u01 + half * k1b
-        x10 = u10 + half * k1c
-        x11 = u11 + half * k1d
-        k2a = a1 * x10
-        k2b = a1 * x11
-        k2c = b1 * x00
-        k2d = b1 * x01
-        x00 = u00 + half * k2a
-        x01 = u01 + half * k2b
-        x10 = u10 + half * k2c
-        x11 = u11 + half * k2d
-        k3a = a1 * x10
-        k3b = a1 * x11
-        k3c = b1 * x00
-        k3d = b1 * x01
-        x00 = u00 + dt * k3a
-        x01 = u01 + dt * k3b
-        x10 = u10 + dt * k3c
-        x11 = u11 + dt * k3d
-        k4a = a2 * x10
-        k4b = a2 * x11
-        k4c = b2 * x00
-        k4d = b2 * x01
-        u00 = u00 + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        u01 = u01 + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        u10 = u10 + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-        u11 = u11 + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-
-        for _ in range(2):
-            g00 = u00.conjugate() * u00 + u10.conjugate() * u10
-            g01 = u00.conjugate() * u01 + u10.conjugate() * u11
-            g10 = g01.conjugate()
-            g11 = u01.conjugate() * u01 + u11.conjugate() * u11
-            m00 = 1.5 - 0.5 * g00
-            m01 = -0.5 * g01
-            m10 = -0.5 * g10
-            m11 = 1.5 - 0.5 * g11
-            v00 = u00 * m00 + u01 * m10
-            v01 = u00 * m01 + u01 * m11
-            v10 = u10 * m00 + u11 * m10
-            v11 = u10 * m01 + u11 * m11
-            u00 = v00
-            u01 = v01
-            u10 = v10
-            u11 = v11
-
-        k1a = a0 * r10
-        k1b = a0 * r11
-        k1c = b0 * r00
-        k1d = b0 * r01
-        x00 = r00 + half * k1a
-        x01 = r01 + half * k1b
-        x10 = r10 + half * k1c
-        x11 = r11 + half * k1d
-        k2a = a1 * x10
-        k2b = a1 * x11
-        k2c = b1 * x00
-        k2d = b1 * x01
-        x00 = r00 + half * k2a
-        x01 = r01 + half * k2b
-        x10 = r10 + half * k2c
-        x11 = r11 + half * k2d
-        k3a = a1 * x10
-        k3b = a1 * x11
-        k3c = b1 * x00
-        k3d = b1 * x01
-        x00 = r00 + dt * k3a
-        x01 = r01 + dt * k3b
-        x10 = r10 + dt * k3c
-        x11 = r11 + dt * k3d
-        k4a = a2 * x10
-        k4b = a2 * x11
-        k4c = b2 * x00
-        k4d = b2 * x01
-        r00 = r00 + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        r01 = r01 + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        r10 = r10 + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-        r11 = r11 + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-
-    g00 = r00.conjugate() * r00 + r10.conjugate() * r10
-    g01 = r00.conjugate() * r01 + r10.conjugate() * r11
-    g11 = r01.conjugate() * r01 + r11.conjugate() * r11
-    drift = max(abs(g00 - 1.0), abs(g01), abs(g11 - 1.0))
-
-    u = np.empty((2, 2), dtype=np.complex128)
-    u[0, 0] = u00
-    u[0, 1] = u01
-    u[1, 0] = u10
-    u[1, 1] = u11
-    return u, drift
-
-
-rk4_propagate_numba = None
-if not os.environ.get(ENV_FLAG):
-    try:
-        import numba
-
-        rk4_propagate_numba = numba.njit(cache=True)(_rk4_propagate_scalar)
-    except ImportError:  # pragma: no cover - depends on the environment
-        warnings.warn(
-            "numba is unavailable; falling back to the pure-numpy propagation kernel",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-if rk4_propagate_numba is not None:
-    rk4_propagate = rk4_propagate_numba
-    BACKEND = "numba"
-else:
-    rk4_propagate = rk4_propagate_numpy
-    BACKEND = "numpy"
+    return _polar(raw), drift

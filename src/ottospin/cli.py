@@ -149,6 +149,9 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig, min_steps: int = MIN_STEPS) -> None:
+    for name, value in (("nu-cold", cfg.nu_cold), ("nu-hot", cfg.nu_hot), ("tau", cfg.tau)):
+        if not np.isfinite(value):
+            raise ConfigError(f"{name}: must be finite, got {value}")
     if not cfg.nu_cold > 0:
         raise ConfigError(f"nu-cold: must be positive, got {cfg.nu_cold}")
     if not cfg.nu_hot > cfg.nu_cold:

@@ -1,8 +1,9 @@
 """Time-ordered propagation of the expansion/compression ramp.
 
 Integrates dU/dt = -i*2*pi*H(t)*U with fixed-step RK4 (H in h=1 Hz
-units, so the 2*pi converts to hbar units), re-unitarizing after every
-step.  The compression propagator is integrated independently from
+units, so the 2*pi converts to hbar units) and projects the raw RK4
+product onto the nearest unitary matrix once, at the end.  The
+compression propagator is integrated independently from
 H_comp(t) = -H_exp(tau - t) rather than defined as the adjoint of the
 expansion one, which turns the adjoint identity into a testable
 statement.

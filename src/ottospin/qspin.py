@@ -153,7 +153,13 @@ def population_from_beta(beta: float, nu: float) -> float:
     """Excited-state population of the Gibbs state at inverse temperature ``beta``."""
     if not (np.isfinite(nu) and nu > 0):
         raise DomainError(f"frequency must be positive and finite, got {nu}")
-    return 1.0 / (math.exp(beta * nu) + 1.0)
+    if not np.isfinite(beta):
+        raise DomainError(f"beta must be finite, got {beta}")
+    x = beta * nu
+    if x > 0.0:  # exp(-x) underflows to 0 where exp(x) would overflow
+        weight = math.exp(-x)
+        return weight / (1.0 + weight)
+    return 1.0 / (math.exp(x) + 1.0)
 
 
 @dataclass(frozen=True)

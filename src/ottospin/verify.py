@@ -358,14 +358,6 @@ def _guard(func, params: VerifyParams, name: str, **kwargs) -> CheckResult:
 def run_all(params: VerifyParams | None = None) -> VerificationReport:
     """Run the full verification suite and collect one result per check."""
     params = params or VerifyParams()
-    # Warm the propagation kernel so JIT compilation never lands inside
-    # a timed check.
-    try:
-        propagate(RampProtocol(BASELINE["nu_cold"], BASELINE["nu_hot"],
-                               BASELINE["tau"], 128))
-    except Exception:
-        pass
-
     report = VerificationReport(backend=_kernels.BACKEND)
     sample_start = time.perf_counter()
     try:

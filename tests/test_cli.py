@@ -36,6 +36,14 @@ def test_cycle_rejects_boundary_population(capsys):
     assert "p-hot" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--nu-cold", "inf"), ("--nu-hot", "inf"),
+                                         ("--tau", "inf"), ("--tau", "nan")])
+def test_cycle_rejects_non_finite_inputs(flag, value, capsys):
+    code, _, err = run_cli(["cycle", flag, value], capsys)
+    assert code == 2
+    assert flag[2:] in err
+
+
 def test_cycle_rejects_csv_format(capsys):
     code, _, err = run_cli(["cycle", "--format", "csv"], capsys)
     assert code == 2

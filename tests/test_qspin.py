@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -145,6 +146,21 @@ def test_population_beta_round_trip():
     nu = 5000.0
     for p in np.linspace(0.01, 0.99, 49):
         assert abs(population_from_beta(beta_from_population(p, nu), nu) - p) < 1e-12
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_population_from_beta_at_extreme_beta(sign):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for x in (1.0, 40.0, 709.0, 720.0, 745.0, 800.0):
+            want = float(1 / (Decimal(sign * x).exp() + 1))
+            assert abs(population_from_beta(sign * x, 1.0) - want) <= math.ulp(want)
+    assert population_from_beta(sign * 1e308, 10.0) == (0.0 if sign > 0 else 1.0)
+    with pytest.raises(DomainError):
+        ReservoirSpec.from_beta(800.0, sign * 1.0)
+    for beta in (sign * math.inf, math.nan):
+        with pytest.raises(DomainError):
+            population_from_beta(beta, 1.0)
 
 
 def test_reservoir_spec_round_trip():
